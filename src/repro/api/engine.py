@@ -130,8 +130,7 @@ def connect(
         :meth:`Engine.check`.
     algorithm / mode / executor / cache_size / use_view_index:
         Forwarded to the underlying :class:`RewritingSession`.  ``executor``
-        is ``"compiled"``, ``"interpreted"``, or ``"parallel"`` (partitioned
-        hash joins across a forked worker pool); ``None`` uses the
+        is ``"compiled"`` or ``"interpreted"``; ``None`` uses the
         process-wide configured default.
     observability:
         When True (the default) the engine owns a
@@ -156,9 +155,11 @@ def connect(
         syncs every append, ``"batch"`` (the default) syncs per flush,
         False / ``"none"`` leaves syncing to the OS.  Requires ``storage``.
     snapshot:
-        Auto-checkpoint every N applied deltas (``engine.checkpoint()``
-        forces one).  Requires ``storage``.
+        Auto-checkpoint every N applied deltas, N a positive integer
+        (``engine.checkpoint()`` forces one).  Requires ``storage``.
     """
+    if snapshot is not None and snapshot <= 0:
+        raise StorageError(f"snapshot= must be a positive delta count, got {snapshot!r}")
     database = as_database(data)
     instance = as_database(view_instance)
     manager: Optional[StorageManager] = None
@@ -567,8 +568,7 @@ class Engine:
 
     @property
     def executor(self) -> str:
-        """The configured executor name (``"compiled"`` / ``"interpreted"`` /
-        ``"parallel"``)."""
+        """The configured executor name (``"compiled"`` / ``"interpreted"``)."""
         return self._session.executor
 
     @property
@@ -770,8 +770,7 @@ class Engine:
         disjunct: ConjunctiveQuery, database: Database, executor: Any
     ) -> PlanDescription:
         text = to_datalog(disjunct)
-        # Both the serial compiled executor and the parallel executor (which
-        # composes one) expose plan_for; the interpreter does not.
+        # The compiled executor exposes plan_for; the interpreter does not.
         if not hasattr(executor, "plan_for"):
             return PlanDescription(disjunct=text, strategy="interpreted")
         hits_before = executor.plan_hits

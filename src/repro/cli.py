@@ -41,7 +41,7 @@ argument-parsing shell around ``repro.connect(...)`` and the engine verbs:
     Inspect a write-ahead log: record count, last sequence number, and any
     trailing corruption (``--repair`` truncates a damaged tail in place).
 ``python -m repro experiments``
-    List the reproduced experiments (E1..E17) and the bench that regenerates
+    List the reproduced experiments (E1..E15, E17) and the bench that regenerates
     each.
 
 Queries and views are given inline or in files, in the datalog syntax of
@@ -163,7 +163,7 @@ def _engine_for(args: argparse.Namespace, **overrides):
         options["storage"] = args.storage
         if getattr(args, "wal", None):
             options["wal"] = args.wal
-        if getattr(args, "snapshot_every", None):
+        if getattr(args, "snapshot_every", None) is not None:
             options["snapshot"] = args.snapshot_every
     options.update(overrides)
     return connect(**options)
@@ -599,10 +599,8 @@ def _add_storage_flags(parser: argparse.ArgumentParser, required: bool = False) 
 def _add_executor_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor", choices=EXECUTORS, default=None,
-        help="execution engine for query evaluation: compiled, interpreted, "
-             "or parallel (partitioned hash joins across a forked worker "
-             "pool); default: the configured default (REPRO_DEFAULT_EXECUTOR "
-             "or compiled)",
+        help="execution engine for query evaluation: compiled or "
+             "interpreted; default: compiled",
     )
 
 

@@ -19,10 +19,6 @@ step actually needs (:mod:`repro.exec.plan`) instead of materializing whole
 rows.  Dict-backed buckets also make :meth:`discard` O(arity + #indexes):
 deleting a row from a bucket is a dict deletion, not a list scan, so
 delete-heavy deltas are linear instead of quadratic.
-
-Per-column Skolem counters are maintained on every mutation; the parallel
-executor consults them (:attr:`Relation.skolem_count`) to fall back to serial
-execution when a partitioning column carries Skolem values.
 """
 
 from __future__ import annotations
@@ -65,7 +61,7 @@ class SkolemValue:
     def __reduce__(self):
         # Default pickling would restore slots via setattr (blocked above);
         # reconstruct through the constructor instead so Skolem-bearing
-        # answers can cross process boundaries (the parallel executor).
+        # rows survive snapshots and process boundaries.
         return (SkolemValue, (self.function, self.args))
 
     def __eq__(self, other: object) -> bool:
@@ -110,7 +106,6 @@ class Relation:
         "_columns",
         "_rows",
         "_free",
-        "_skolem_counts",
         "_indexes",
     )
 
@@ -127,8 +122,6 @@ class Relation:
         self._rows: Dict[Tuple[Any, ...], int] = {}
         #: Recycled slots of discarded rows, reused before growing columns.
         self._free: List[int] = []
-        #: Per-column count of live rows whose value there is a SkolemValue.
-        self._skolem_counts: List[int] = [0] * arity
         # Lazily-built hash indexes keyed by column positions, maintained
         # incrementally by add/discard so deltas never force a rebuild.
         self._indexes: Dict[Tuple[int, ...], Dict[Tuple[Any, ...], Bucket]] = {}
@@ -155,10 +148,6 @@ class Relation:
             for position, value in enumerate(tup):
                 columns[position].append(value)
         self._rows[tup] = slot
-        skolem_counts = self._skolem_counts
-        for position, value in enumerate(tup):
-            if isinstance(value, SkolemValue):
-                skolem_counts[position] += 1
         for positions, index in self._indexes.items():
             key = tuple(tup[p] for p in positions)
             bucket = index.get(key)
@@ -194,10 +183,6 @@ class Relation:
         if slot is None:
             return False
         self._free.append(slot)
-        skolem_counts = self._skolem_counts
-        for position, value in enumerate(tup):
-            if isinstance(value, SkolemValue):
-                skolem_counts[position] -= 1
         for positions, index in self._indexes.items():
             key = tuple(tup[p] for p in positions)
             bucket = index.get(key)
@@ -254,18 +239,6 @@ class Relation:
         """The live slots, in row insertion order (paired with ``__iter__``)."""
         return self._rows.values()
 
-    def skolem_count(self, position: int) -> int:
-        """How many live rows carry a Skolem value in one column (O(1))."""
-        if not 0 <= position < self.arity:
-            raise SchemaError(
-                f"column position {position} out of range for arity {self.arity}"
-            )
-        return self._skolem_counts[position]
-
-    def has_skolems(self) -> bool:
-        """Whether any live row carries a Skolem value in any column (O(arity))."""
-        return any(count for count in self._skolem_counts)
-
     def storage_stats(self) -> Dict[str, Any]:
         """Occupancy of the columnar store (for observability snapshots)."""
         capacity = len(self._columns[0]) if self.arity else len(self._rows)
@@ -274,7 +247,6 @@ class Relation:
             "capacity": capacity,
             "free_slots": len(self._free),
             "indexes": len(self._indexes),
-            "skolem_counts": list(self._skolem_counts),
         }
 
     # -- relational helpers -------------------------------------------------------

@@ -246,40 +246,15 @@ class PhysicalPlan:
         stats.subgoals += len(self.steps)
         if self.always_empty:
             return frozenset()
-        rows = self.run_steps(database, [()], stats)
-        return self.project_rows(rows, stats)
-
-    def run_steps(
-        self,
-        database: Database,
-        rows: List[Row],
-        stats: EvaluationStatistics,
-        start: int = 0,
-    ) -> List[Row]:
-        """Run the pipeline steps from ``start`` over a seed row list.
-
-        The parallel executor uses ``start`` to replay only the tail of the
-        pipeline inside a worker, over one partition of the first step's
-        output.  Returns the surviving rows (possibly empty).
-        """
-        for step in self.steps[start:]:
+        # An empty row list short-circuits to the empty answer set before the
+        # unbound-head check, mirroring the interpreter: that error is raised
+        # only when an assignment reaches projection (the body-less
+        # ground-head query's seed row always does).
+        rows: List[Row] = [()]
+        for step in self.steps:
             rows = step.run(database, rows, stats)
             if not rows:
-                return []
-        return rows
-
-    def project_rows(
-        self, rows: List[Row], stats: EvaluationStatistics
-    ) -> FrozenSet[Row]:
-        """Project and deduplicate surviving rows into the answer set.
-
-        Mirrors the interpreter's semantics: an unbound head variable raises
-        only when at least one assignment reaches projection (an empty row
-        list short-circuits to the empty answer set first — except for the
-        body-less ground-head query, whose seed row always survives).
-        """
-        if not rows:
-            return frozenset()
+                return frozenset()
         if self.unbound_head_terms:
             raise EvaluationError(
                 f"head term {self.unbound_head_terms[0]} of query "

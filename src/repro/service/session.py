@@ -53,7 +53,6 @@ from repro.exec import (
     EXECUTORS,
     CompiledExecutor,
     InterpretedExecutor,
-    ParallelExecutor,
     default_executor_name,
     make_executor,
 )
@@ -180,11 +179,9 @@ class RewritingSession:
         cached alongside the rewriting caches and a union rewriting's many
         disjuncts share their hash-join build sides (the indexes live on the
         materialized view relations).  ``"interpreted"`` uses the
-        backtracking interpreter; ``"parallel"`` fans large probe pipelines
-        across a forked worker pool (:class:`repro.exec.ParallelExecutor`).
-        ``None`` (the default) uses the process-wide configured default —
-        ``"compiled"`` unless overridden by :func:`set_default_executor` or
-        the ``REPRO_DEFAULT_EXECUTOR`` environment variable.
+        backtracking interpreter.  ``None`` (the default) uses the
+        process-wide configured default — ``"compiled"`` unless overridden by
+        :func:`set_default_executor`.
     instrumentation:
         Optional :class:`repro.obs.Instrumentation`.  When given, the session
         records per-stage latency histograms (rewrite cold/hit, execute,
@@ -268,9 +265,7 @@ class RewritingSession:
         return self._database
 
     @property
-    def evaluation_executor(
-        self,
-    ) -> "CompiledExecutor | InterpretedExecutor | ParallelExecutor":
+    def evaluation_executor(self) -> "CompiledExecutor | InterpretedExecutor":
         """The executor instance evaluating this session's plans."""
         return self._executor
 
@@ -586,12 +581,6 @@ class RewritingSession:
         obs.cache_event(
             "plan", "compile", getattr(executor, "plan_misses", 0) - misses_before
         )
-        # The parallel executor reports per-partition worker wall times; feed
-        # them into their own stage histogram so partition skew is visible.
-        drain = getattr(executor, "drain_partition_timings", None)
-        if drain is not None:
-            for seconds in drain():
-                obs.observe_stage("execute_partition", seconds)
         return answers
 
     def _evaluate_plan(

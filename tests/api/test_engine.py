@@ -143,8 +143,7 @@ class TestAnswers:
         assert answer.provenance.kind == "equivalent"
         assert answer.provenance.views_used == ("v_rs",)
         assert "v_rs" in answer.provenance.rewriting
-        # The engine resolves the configured default (compiled unless the
-        # REPRO_DEFAULT_EXECUTOR override is in play, as in the CI matrix).
+        # The engine resolves the configured default (compiled).
         assert answer.provenance.executor == default_executor_name()
         assert not answer.provenance.cache_hit
 
@@ -261,7 +260,7 @@ class TestBatchAndStats:
 
 
 class TestExecutorMatrix:
-    """Every facade verb behaves identically under all three executors."""
+    """Every facade verb behaves identically under both executors."""
 
     @pytest.mark.parametrize("name", EXECUTORS)
     def test_facade_verbs_are_executor_invariant(self, name):

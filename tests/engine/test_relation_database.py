@@ -1,5 +1,7 @@
 """Tests for relations, Skolem values, and databases."""
 
+import pickle
+
 import pytest
 
 from repro.errors import SchemaError
@@ -28,6 +30,12 @@ class TestSkolemValue:
 
     def test_str(self):
         assert str(SkolemValue("f_v_Y", ["a", 1])) == "f_v_Y(a, 1)"
+
+    def test_pickle_round_trip(self):
+        value = SkolemValue("f_v_Y", ["a", SkolemValue("g", [1])])
+        clone = pickle.loads(pickle.dumps((1, value)))
+        assert clone == (1, value)
+        assert hash(clone[1]) == hash(value)
 
 
 class TestRelation:
@@ -103,6 +111,29 @@ class TestRelation:
         assert {key: set(b) for key, b in relation.index_on([0]).items()} == {
             key: set(b) for key, b in fresh.index_on([0]).items()
         }
+
+    def test_storage_stats_report_occupancy(self):
+        relation = Relation("r", 2, [(1, 2), (3, 4), (5, 6)])
+        relation.index_on([0])
+        relation.discard((3, 4))
+        assert relation.storage_stats() == {
+            "rows": 2,
+            "capacity": 3,
+            "free_slots": 1,
+            "indexes": 1,
+        }
+
+    def test_skolem_rows_are_indexed_and_discarded_like_any_value(self):
+        sk = SkolemValue("f", [1])
+        relation = Relation("r", 2, [(1, sk), (2, sk), (1, 2)])
+        index = relation.index_on([1])
+        assert sorted(index[(sk,)], key=repr) == [(1, sk), (2, sk)]
+        assert relation.discard((1, sk))
+        assert relation.discard((2, sk))
+        assert (sk,) not in relation.index_on([1])
+        assert relation.tuples() == frozenset({(1, 2)})
+        assert relation.add((2, sk))
+        assert list(relation.index_on([1])[(sk,)]) == [(2, sk)]
 
 
 class TestDatabase:

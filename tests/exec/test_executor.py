@@ -13,23 +13,21 @@ from repro.engine.database import Database
 from repro.engine.evaluate import EvaluationStatistics, evaluate
 from repro.engine.relation import SkolemValue
 from repro.exec import (
+    EXECUTORS,
     CompiledExecutor,
     InterpretedExecutor,
-    ParallelExecutor,
     default_executor_name,
     get_default_executor,
+    make_executor,
     resolve_executor,
     set_default_executor,
 )
 
 COMPILED = CompiledExecutor()
 INTERPRETED = InterpretedExecutor()
-# Two workers with no size threshold: even the small test databases take the
-# real partitioned path, so equivalence covers the fork/ship/merge machinery.
-PARALLEL = ParallelExecutor(processes=2, min_partition_rows=1)
 
 #: Every executor behind the common interface, for parametrized equivalence.
-ALL_EXECUTORS = [COMPILED, INTERPRETED, PARALLEL]
+ALL_EXECUTORS = [COMPILED, INTERPRETED]
 EXECUTOR_IDS = [executor.name for executor in ALL_EXECUTORS]
 
 
@@ -48,8 +46,7 @@ def random_db(seed=0, size=200, domain=25):
 
 def assert_engines_agree(query, db):
     interpreted = evaluate(query, db, executor=INTERPRETED)
-    for executor in (COMPILED, PARALLEL):
-        assert evaluate(query, db, executor=executor) == interpreted
+    assert evaluate(query, db, executor=COMPILED) == interpreted
     return interpreted
 
 
@@ -74,6 +71,14 @@ class TestEquivalence:
             "q(X, Y) :- r(X, Y), 2 < 1.",  # ground-false comparison
             "q(A, B) :- u(A, B, B).",
             "q(X) :- r(3, X).",
+            "q(X, Y) :- r(X, Y).",  # single-step plan: a bare scan
+            "q(X, Z) :- s(X, Y), r(Y, Z).",
+            "q(X, Z) :- r(X, Y), s(Y, Z), t(Z, X).",  # cycle: two-column probe
+            "q(X, Y) :- r(X, Y), s(Y, Z), Z >= X.",  # filter on a probe step
+            "q(Y) :- r(3, Y), s(Y, 3).",
+            "q(X, Y, Z) :- u(X, Y, Z), r(X, Y), s(Y, Z).",
+            "q(X, X) :- r(X, Y), u(Y, Z, Z).",  # equality check on a probe step
+            "q(W) :- r(X, Y), s(Y, Z), t(Z, W), u(W, A, B).",
         ],
     )
     def test_same_answers_as_interpreter(self, text, executor):
@@ -135,6 +140,97 @@ class TestEquivalence:
         assert stats.extensions > 0
         assert stats.answers > 0
         assert stats.subgoals == 2
+
+
+class TestPlanShapes:
+    def test_always_empty_plan_reads_no_relation(self):
+        db = random_db(6)
+        query = parse_query("q(X, Y) :- r(X, Y), s(Y, Z), 2 < 1.")
+        plan = CompiledExecutor().plan_for(query, db)
+        assert plan.always_empty and plan.steps == ()
+        stats = EvaluationStatistics()
+        assert evaluate(query, db, stats, executor=COMPILED) == frozenset()
+        assert stats.probes == 0
+
+    def test_single_atom_query_compiles_to_one_scan(self):
+        db = random_db(7)
+        plan = CompiledExecutor().plan_for(parse_query("q(X, Y) :- r(X, Y)."), db)
+        assert len(plan.steps) == 1
+        assert plan.steps[0].key_positions == ()
+        assert plan.execute(db) == db.tuples("r")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "q(X, Z) :- r(X, Y), s(Y, Z).",
+            "q(X, Z) :- r(X, Y), s(Y, Z), t(Z, X).",
+            "q(X) :- u(X, X, Y), Y > 1.",
+            "q(X, Y) :- r(X, Y), s(A, B), A != B.",
+        ],
+    )
+    def test_statistics_match_the_interpreter(self, text):
+        db = random_db(8)
+        compiled, interpreted = EvaluationStatistics(), EvaluationStatistics()
+        evaluate(parse_query(text), db, compiled, executor=COMPILED)
+        evaluate(parse_query(text), db, interpreted, executor=INTERPRETED)
+        assert compiled == interpreted
+
+    def test_union_statistics_accumulate_over_disjuncts(self):
+        db = random_db(9)
+        union = UnionQuery(
+            [
+                parse_query("q(X, Z) :- r(X, Y), s(Y, Z)."),
+                parse_query("q(X, Z) :- s(X, Y), r(Y, Z)."),
+            ]
+        )
+        stats = EvaluationStatistics()
+        answers = evaluate(union, db, stats, executor=COMPILED)
+        assert answers == assert_engines_agree(union, db)
+        assert stats.subgoals == 4
+        assert stats.answers >= len(answers) > 0
+
+    def test_unbound_head_is_not_an_error_when_a_later_step_empties(self):
+        x, y = Variable("X"), Variable("Y")
+        query = ConjunctiveQuery(
+            Atom("q", [y]),
+            [Atom("r", [x, x]), Atom("s", [x, x])],
+            require_safe=False,
+        )
+        db = Database.from_dict({"r": [(1, 1)], "s": [(2, 2)]})
+        for executor in ALL_EXECUTORS:
+            assert evaluate(query, db, executor=executor) == frozenset()
+
+    def test_skolems_on_both_join_columns(self):
+        db = random_db(10, size=40)
+        sk = SkolemValue("f", (1,))
+        db.add_fact("r", (1, sk))
+        db.add_fact("s", (sk, 3))
+        answers = assert_engines_agree(parse_query("q(X, Z) :- r(X, Y), s(Y, Z)."), db)
+        assert (1, 3) in answers
+
+    def test_clear_drops_every_plan(self):
+        executor = CompiledExecutor()
+        db = random_db(11)
+        query = parse_query("q(X, Z) :- r(X, Y), s(Y, Z).")
+        expected = executor.evaluate(query, db)
+        assert executor.stats()["plans_cached"] == 1
+        executor.clear()
+        assert executor.stats()["plans_cached"] == 0
+        assert executor.evaluate(query, db) == expected
+        assert executor.plan_misses == 2
+
+    def test_stats_snapshot_shape(self):
+        executor = CompiledExecutor(plan_cache_size=17)
+        assert executor.stats() == {
+            "executor": "compiled",
+            "plans_cached": 0,
+            "plan_cache_size": 17,
+            "plan_hits": 0,
+            "plan_misses": 0,
+            "fallbacks": 0,
+            "pushdowns": 0,
+        }
+        assert InterpretedExecutor().stats() == {"executor": "interpreted"}
 
 
 class TestFallback:
@@ -238,28 +334,51 @@ class TestSharedBuildSides:
 
 class TestDefaultExecutor:
     def test_default_matches_configuration(self):
-        # "compiled" unless REPRO_DEFAULT_EXECUTOR overrides it (the CI
-        # parallel leg runs this very test with the override in place).
         assert get_default_executor().name == default_executor_name()
 
     def test_set_and_restore_default(self):
-        configured = default_executor_name()
         set_default_executor("interpreted")
         try:
             assert get_default_executor().name == "interpreted"
         finally:
-            set_default_executor(None)  # None = back to the configured default
-        assert get_default_executor().name == configured
+            set_default_executor(None)  # None = back to "compiled"
+        assert get_default_executor().name == "compiled"
 
     def test_resolve_accepts_instances_and_rejects_junk(self):
         executor = CompiledExecutor()
         assert resolve_executor(executor) is executor
         assert resolve_executor("interpreted").name == "interpreted"
-        assert resolve_executor("parallel").name == "parallel"
+        with pytest.raises(EvaluationError):
+            resolve_executor("parallel")
         with pytest.raises(EvaluationError):
             resolve_executor("vectorized")
         with pytest.raises(EvaluationError):
             resolve_executor(42)
+
+    def test_registry_names_exactly_two_executors(self):
+        assert EXECUTORS == ("compiled", "interpreted")
+
+    def test_make_executor_returns_private_instances(self):
+        first, second = make_executor("compiled"), make_executor("compiled")
+        assert isinstance(first, CompiledExecutor)
+        assert first is not second
+        assert first is not resolve_executor("compiled")
+        assert isinstance(make_executor("interpreted"), InterpretedExecutor)
+
+    @pytest.mark.parametrize("name", ["parallel", "vectorized"])
+    def test_make_executor_rejects_unknown_names(self, name):
+        with pytest.raises(EvaluationError):
+            make_executor(name)
+
+    def test_rejected_default_keeps_the_previous_one(self):
+        set_default_executor("interpreted")
+        try:
+            with pytest.raises(EvaluationError):
+                set_default_executor("parallel")
+            assert default_executor_name() == "interpreted"
+        finally:
+            set_default_executor(None)
+        assert default_executor_name() == "compiled"
 
     def test_evaluate_accepts_executor_names(self):
         db = random_db(4)
@@ -281,6 +400,4 @@ class TestMaterializeThroughExecutor:
         )
         compiled = materialize_views(views, db, executor=COMPILED)
         interpreted = materialize_views(views, db, executor=INTERPRETED)
-        parallel = materialize_views(views, db, executor=PARALLEL)
         assert compiled == interpreted
-        assert parallel == interpreted

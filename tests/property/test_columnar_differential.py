@@ -1,13 +1,10 @@
-"""Differential properties of the columnar store and the three executors.
+"""Differential properties of the columnar store and the two executors.
 
-Two invariants back the PR-8 columnar/parallel work:
+Two invariants back the columnar store:
 
-1. **Executor agreement** — the backtracking interpreter, the serial compiled
-   engine and the partitioned parallel executor return *identical* answer
-   sets (tuple for tuple, Skolem values included) on random queries, views
-   and databases.  The parallel executor under test has ``processes=2`` and
-   no size threshold, so the real fork/ship/merge path runs whenever a plan
-   has a tail to fan out.
+1. **Executor agreement** — the backtracking interpreter and the compiled
+   engine return *identical* answer sets (tuple for tuple, Skolem values
+   included) on random queries, views and databases.
 2. **Index/storage integrity** — after arbitrary add / discard / apply_delta
    churn, every incrementally-maintained hash index of a relation holds
    exactly what a from-scratch rebuild over the surviving tuples would hold,
@@ -21,7 +18,7 @@ from hypothesis import strategies as st
 from repro.engine.database import Database
 from repro.engine.evaluate import evaluate, materialize_views
 from repro.engine.relation import Relation, SkolemValue
-from repro.exec import CompiledExecutor, InterpretedExecutor, ParallelExecutor
+from repro.exec import CompiledExecutor, InterpretedExecutor
 from repro.materialize.delta import Delta
 
 from tests.property.strategies import (
@@ -34,7 +31,6 @@ from tests.property.strategies import (
 
 COMPILED = CompiledExecutor()
 INTERPRETED = InterpretedExecutor()
-PARALLEL = ParallelExecutor(processes=2, min_partition_rows=1)
 
 DIFFERENTIAL = settings(
     max_examples=200,
@@ -60,24 +56,21 @@ def skolem_databases(draw):
 class TestExecutorAgreement:
     @DIFFERENTIAL
     @given(database=databases(), query=conjunctive_queries())
-    def test_three_executors_agree_on_random_queries(self, database, query):
+    def test_executors_agree_on_random_queries(self, database, query):
         expected = evaluate(query, database, executor=INTERPRETED)
         assert evaluate(query, database, executor=COMPILED) == expected
-        assert evaluate(query, database, executor=PARALLEL) == expected
 
     @DIFFERENTIAL
     @given(database=skolem_databases(), query=conjunctive_queries())
     def test_agreement_holds_on_skolem_bearing_extents(self, database, query):
         expected = evaluate(query, database, executor=INTERPRETED)
         assert evaluate(query, database, executor=COMPILED) == expected
-        assert evaluate(query, database, executor=PARALLEL) == expected
 
     @DIFFERENTIAL
     @given(database=databases(), views=view_sets())
     def test_materialized_view_extents_agree(self, database, views):
         expected = materialize_views(views, database, executor=INTERPRETED)
         assert materialize_views(views, database, executor=COMPILED) == expected
-        assert materialize_views(views, database, executor=PARALLEL) == expected
 
 
 # -- storage / index integrity under churn -----------------------------------
@@ -111,10 +104,6 @@ def assert_storage_consistent(relation):
     stats = relation.storage_stats()
     assert stats["rows"] == len(rebuilt)
     assert stats["capacity"] == stats["rows"] + stats["free_slots"]
-    assert stats["skolem_counts"] == [
-        sum(isinstance(row[p], SkolemValue) for row in relation)
-        for p in range(relation.arity)
-    ]
     for positions in list(relation._indexes):
         live = relation.index_on(positions)
         fresh = rebuilt.index_on(positions)
@@ -156,4 +145,3 @@ class TestIndexChurn:
         apply_churn(database, relation, steps)
         expected = evaluate(query, database, executor=INTERPRETED)
         assert evaluate(query, database, executor=COMPILED) == expected
-        assert evaluate(query, database, executor=PARALLEL) == expected

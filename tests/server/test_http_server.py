@@ -271,7 +271,7 @@ class TestCoalescing:
 
 
 class TestExecutorInvariance:
-    @pytest.mark.parametrize("name", ["compiled", "interpreted", "parallel"])
+    @pytest.mark.parametrize("name", ["compiled", "interpreted"])
     def test_concurrent_coalesced_results_are_executor_invariant(self, name):
         """HTTP query results are identical whichever executor serves them,
         including when concurrent identical requests coalesce onto one run."""

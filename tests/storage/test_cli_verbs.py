@@ -3,7 +3,8 @@
 Exit-code contract (see the :mod:`repro.cli` module docs): 0 success,
 1 "found corruption but did not repair it" (replay without ``--repair``) or
 a failed ``restore --verify``, 74 for unrecoverable storage errors (a file
-that is not a WAL at all).
+that is not a WAL at all) and rejected storage flags (an unknown backend, a
+non-positive ``--snapshot-every``).
 """
 
 import io
@@ -146,11 +147,17 @@ class TestServeAndStatsFlags:
         relations = stats["session"]["storage"]["relations"]
         assert relations["cites"]["rows"] == 2
 
-    def test_unknown_backend_exits_74(self, tmp_path):
-        code, _ = run_cli(
-            [
-                "restore", "--storage", str(tmp_path / "s"),
-                "--backend", "papyrus",
-            ]
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["restore", "--backend", "papyrus"],
+            ["stats", "--views", VIEWS, "--snapshot-every", "-1"],
+            ["stats", "--views", VIEWS, "--snapshot-every", "0"],
+        ],
+        ids=["unknown-backend", "negative-snapshot-every", "zero-snapshot-every"],
+    )
+    def test_bad_storage_flag_exits_74(self, tmp_path, argv):
+        storage = str(tmp_path / "s")
+        code, _ = run_cli([*argv, "--storage", storage])
         assert code == 74
+        assert not os.path.exists(storage)

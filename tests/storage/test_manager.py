@@ -116,11 +116,23 @@ class TestRecovery:
         with pytest.raises(StorageError):
             connect(views=VIEWS, data=DATA, storage=storage)
 
-    def test_wal_or_snapshot_without_storage_raise(self):
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"wal": "always"},
+            {"snapshot": 10},
+            {"storage": True, "snapshot": 0},
+            {"storage": True, "snapshot": -1},
+        ],
+        ids=["wal-without-storage", "snapshot-without-storage",
+             "zero-snapshot", "negative-snapshot"],
+    )
+    def test_invalid_wal_or_snapshot_options_raise(self, tmp_path, options):
+        # A non-positive interval would otherwise checkpoint after every delta.
+        if options.pop("storage", False):
+            options["storage"] = str(tmp_path / "store")
         with pytest.raises(StorageError):
-            connect(views=VIEWS, data=DATA, wal="always")
-        with pytest.raises(StorageError):
-            connect(views=VIEWS, data=DATA, snapshot=10)
+            connect(views=VIEWS, data=DATA, **options)
 
     def test_checkpoint_without_storage_raises(self):
         engine = connect(views=VIEWS, data=DATA)

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import main
+from repro.exec import set_default_executor
 
 
 QUERY = "q(X, Z) :- r(X, Y), s(Y, Z)."
@@ -87,6 +88,28 @@ class TestAnswerCommand:
         )
         assert code == 0
         assert "evaluating the query directly" in output
+
+    @pytest.mark.parametrize("executor", ["compiled", "interpreted"])
+    def test_executor_flag_does_not_change_answers(self, executor):
+        try:
+            code, output = run_cli(
+                [
+                    "answer", "--query", QUERY, "--database", DATABASE,
+                    "--views", VIEWS, "--executor", executor,
+                ]
+            )
+        finally:
+            set_default_executor(None)
+        assert code == 0
+        assert "1\t5" in output and "3\t6" in output
+        assert "# 2 answers" in output
+
+    def test_unknown_executor_is_rejected_by_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["answer", "--query", QUERY, "--database", DATABASE,
+                     "--executor", "parallel"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCertainCommand:
